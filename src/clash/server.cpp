@@ -256,18 +256,36 @@ void ClashServer::deliver(ServerId from, const Message& msg) {
 void ClashServer::handle_accept_keygroup(ServerId from,
                                          const AcceptKeyGroup& m) {
   // Section 5: a node must accept every ACCEPT_KEYGROUP (it can always
-  // split further itself if overloaded).
-  ServerTableEntry entry;
-  entry.group = m.group;
-  entry.parent = m.parent;
-  entry.root = m.root;  // handoffs preserve lineage; splits send false
-  entry.active = true;
-  table_.insert(entry);
-  note_group_activated(m.group);
+  // split further itself if overloaded). The group may already be here
+  // after a split brain: two owners handed the same group back, or this
+  // node re-promoted it from disk before the handoff landed. Then the
+  // transfer merges into the existing entry (reactivated if needed) —
+  // never a second insert.
+  ServerTableEntry* entry = table_.find(m.group);
+  if (entry == nullptr) {
+    ServerTableEntry fresh;
+    fresh.group = m.group;
+    fresh.parent = m.parent;
+    fresh.root = m.root;  // handoffs preserve lineage; splits send false
+    fresh.active = true;
+    table_.insert(fresh);
+    entry = table_.find(m.group);
+    note_group_activated(m.group);
+  } else if (!entry->active) {
+    entry->active = true;
+    entry->right_child = ServerId{};
+    note_group_activated(m.group);
+  }
 
   GroupState& gs = state_[m.group];
   for (const auto& s : m.streams) {
-    gs.streams[s.source] = s;
+    // A stream both sides hold replaces its entry; its rate must not
+    // count twice.
+    auto [it, inserted] = gs.streams.try_emplace(s.source, s);
+    if (!inserted) {
+      gs.stream_rate -= it->second.rate;
+      it->second = s;
+    }
     gs.stream_rate += s.rate;
   }
   for (const auto& q : m.queries) gs.queries[q.id] = q;
@@ -284,8 +302,16 @@ void ClashServer::handle_accept_keygroup(ServerId from,
   // replica, or its owner's crash in that window would lose it (and,
   // in the deployed layer, leave its key range unroutable -- no
   // survivor would even know the group existed).
-  if (log_replication() || durable()) init_group_log(m.group, m.epoch + 1);
-  if (cfg_.replication_factor > 0) replicate_group(entry);
+  // The new line must supersede both the sender's and any line this
+  // server already runs for the group.
+  if (log_replication() || durable()) {
+    std::uint64_t min_epoch = m.epoch + 1;
+    if (const auto lit = logs_.find(m.group); lit != logs_.end()) {
+      min_epoch = std::max(min_epoch, lit->second.epoch() + 1);
+    }
+    init_group_log(m.group, min_epoch);
+  }
+  if (cfg_.replication_factor > 0) replicate_group(*entry);
 
   env_.send(from, AcceptKeyGroupAck{m.group});
 }

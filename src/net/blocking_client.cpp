@@ -3,7 +3,7 @@
 #include <poll.h>
 #include <unistd.h>
 
-#include <cstring>
+#include <algorithm>
 
 #include "common/logging.hpp"
 #include "net/connection.hpp"
@@ -12,30 +12,44 @@
 namespace clash::net {
 namespace {
 
-/// Blocking read of exactly `n` bytes with a deadline.
-bool read_exact(int fd, std::uint8_t* out, std::size_t n,
-                std::chrono::milliseconds timeout) {
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  std::size_t got = 0;
-  while (got < n) {
+/// Read one length-prefixed frame into `buf` before `deadline`: poll,
+/// then read everything available in one call, and go round again only
+/// while the frame is incomplete. A reply that arrives whole costs one
+/// poll + one read. Bytes past the frame stay in `buf` (consumed from
+/// the front by the caller). Returns the frame length (prefix
+/// excluded), or an error.
+using Clock = std::chrono::steady_clock;
+
+Expected<std::uint32_t> read_frame(int fd, std::vector<std::uint8_t>& buf,
+                                   Clock::time_point deadline) {
+  constexpr std::size_t kReadChunk = 4096;
+  std::size_t need = 4;
+  for (;;) {
+    if (buf.size() >= 4) {
+      const std::uint32_t len = wire::load_u32_le(buf.data());
+      if (len > Connection::kMaxFrame) {
+        return Error::protocol("oversized response frame");
+      }
+      need = 4 + std::size_t(len);
+      if (buf.size() >= need) return len;
+    }
     const auto remaining =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now());
-    if (remaining.count() <= 0) return false;
+        std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now());
+    if (remaining.count() <= 0) {
+      return Error{Error::Code::kTimeout, "response timeout"};
+    }
     pollfd pfd{fd, POLLIN, 0};
     const int pr = ::poll(&pfd, 1, int(remaining.count()));
-    if (pr <= 0) {
-      if (pr < 0 && errno == EINTR) continue;
-      return false;
-    }
-    const ssize_t r = ::read(fd, out + got, n - got);
-    if (r <= 0) {
-      if (r < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      return false;
-    }
-    got += std::size_t(r);
+    if (pr < 0 && errno == EINTR) continue;
+    if (pr < 0) return Error{Error::Code::kClosed, "poll failed"};
+    if (pr == 0) continue;  // the deadline check above reports it
+    const std::size_t have = buf.size();
+    buf.resize(have + std::max(kReadChunk, need - have));
+    const ssize_t r = ::read(fd, buf.data() + have, buf.size() - have);
+    buf.resize(have + std::size_t(std::max<ssize_t>(r, 0)));
+    if (r < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+    if (r <= 0) return Error{Error::Code::kClosed, "connection closed"};
   }
-  return true;
 }
 
 bool write_all(int fd, std::span<const std::uint8_t> data) {
@@ -70,16 +84,17 @@ dht::LookupResult BlockingClient::dht_lookup(dht::HashKey h) {
   return ring_.lookup(h, config_.access_point);
 }
 
-Expected<Fd*> BlockingClient::connection_to(ServerId to) {
+Expected<BlockingClient::Link*> BlockingClient::connection_to(ServerId to) {
   const auto it = connections_.find(to);
-  if (it != connections_.end() && it->second.valid()) return &it->second;
+  if (it != connections_.end() && it->second.fd.valid()) return &it->second;
   const auto member = config_.members.find(to);
   if (member == config_.members.end()) {
     return Error::not_found("unknown server " + to_string(to));
   }
   auto fd = connect_tcp(member->second);
   if (!fd.ok()) return fd.error();
-  auto [slot, _] = connections_.insert_or_assign(to, std::move(fd).value());
+  auto [slot, _] =
+      connections_.insert_or_assign(to, Link{std::move(fd).value(), {}});
   return &slot->second;
 }
 
@@ -93,28 +108,22 @@ Expected<std::vector<std::uint8_t>> BlockingClient::call(
   }
   auto conn = connection_to(to);
   if (!conn.ok()) return conn.error();
-  const int fd = conn.value()->get();
+  Link& link = *conn.value();
 
-  if (!write_all(fd, wire_frame)) {
+  if (!write_all(link.fd.get(), wire_frame)) {
     connections_.erase(to);
     return Error{Error::Code::kClosed, "write failed"};
   }
 
-  std::uint8_t len_buf[4];
-  if (!read_exact(fd, len_buf, 4, config_.timeout)) {
+  const auto len =
+      read_frame(link.fd.get(), link.in, Clock::now() + config_.timeout);
+  if (!len.ok()) {
     connections_.erase(to);
-    return Error{Error::Code::kTimeout, "response header timeout"};
+    return len.error();
   }
-  const std::uint32_t resp_len = wire::load_u32_le(len_buf);
-  if (resp_len > Connection::kMaxFrame) {
-    connections_.erase(to);
-    return Error::protocol("oversized response frame");
-  }
-  std::vector<std::uint8_t> response(resp_len);
-  if (!read_exact(fd, response.data(), resp_len, config_.timeout)) {
-    connections_.erase(to);
-    return Error{Error::Code::kTimeout, "response body timeout"};
-  }
+  const auto body = link.in.begin() + 4;
+  std::vector<std::uint8_t> response(body, body + len.value());
+  link.in.erase(link.in.begin(), body + len.value());
   return response;
 }
 

@@ -48,13 +48,19 @@ class BlockingClient final : public ClientEnv {
   }
 
  private:
-  [[nodiscard]] Expected<Fd*> connection_to(ServerId to);
+  /// One server connection plus the bytes read past the last reply.
+  struct Link {
+    Fd fd;
+    std::vector<std::uint8_t> in;
+  };
+
+  [[nodiscard]] Expected<Link*> connection_to(ServerId to);
   [[nodiscard]] Expected<std::vector<std::uint8_t>> call(
       ServerId to, std::span<const std::uint8_t> frame);
 
   Config config_;
   dht::ChordRing ring_;
-  std::map<ServerId, Fd> connections_;
+  std::map<ServerId, Link> connections_;
   std::uint64_t next_request_id_ = 1;
   std::uint64_t transport_errors_ = 0;
 };

@@ -96,12 +96,17 @@ void Connection::handle_readable() {
     // The arena's size() is its high-water mark: growing past it
     // zero-fills once, refills after compaction reuse it as-is.
     if (in_.size() - in_end_ < kReadChunk) in_.resize(in_end_ + kReadChunk);
-    const ssize_t n =
-        ::read(fd_.get(), in_.data() + in_end_, in_.size() - in_end_);
+    const std::size_t room = in_.size() - in_end_;
+    const ssize_t n = ::read(fd_.get(), in_.data() + in_end_, room);
     if (n > 0) {
       in_end_ += std::size_t(n);
       stats_.bytes_received += std::uint64_t(n);
       bytes_received_c_.inc(std::uint64_t(n));
+      // A short read drained the socket: stop instead of paying one
+      // more read for its EAGAIN. The loop's epoll is level-triggered,
+      // so bytes (or a FIN) that land after this read — or an EOF
+      // that came with this data — raise EPOLLIN again next round.
+      if (std::size_t(n) < room) break;
       continue;
     }
     if (n == 0) {

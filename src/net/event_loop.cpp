@@ -53,7 +53,7 @@ void EventLoop::add_fd(int fd, std::uint32_t events, FdHandler handler) {
     throw std::runtime_error(std::string("epoll_ctl(add): ") +
                              std::strerror(errno));
   }
-  handlers_[fd] = std::move(handler);
+  handlers_[fd] = std::make_shared<FdHandler>(std::move(handler));
 }
 
 void EventLoop::modify_fd(int fd, std::uint32_t events) {
@@ -130,14 +130,17 @@ void EventLoop::fire_due_timers() {
   }
 }
 
-int EventLoop::next_timeout_ms() const {
+int EventLoop::next_timeout_ms() {
+  while (!timers_.empty() && timer_tasks_.count(timers_.top().id) == 0) {
+    timers_.pop();
+  }
   if (timers_.empty()) return 100;
   const auto now = Clock::now();
   if (timers_.top().deadline <= now) return 0;
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       timers_.top().deadline - now)
                       .count();
-  return int(us / 1000 + 1);
+  return int((us + 999) / 1000);  // round up: never wake before the deadline
 }
 
 void EventLoop::rearm() {
@@ -219,9 +222,9 @@ void EventLoop::run() {
       const int fd = events[i].data.fd;
       const auto it = handlers_.find(fd);
       if (it == handlers_.end()) continue;  // removed by earlier handler
-      // Copy: the handler may remove itself.
-      FdHandler handler = it->second;
-      handler(events[i].events);
+      // Pin, don't copy: the handler may remove itself (or others).
+      const std::shared_ptr<FdHandler> handler = it->second;
+      (*handler)(events[i].events);
     }
     run_deferred();
   }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -179,14 +180,21 @@ class EventLoop {
   void run_deferred() CLASH_REQUIRES(affinity_);
   void note_tick(Clock::time_point start) CLASH_REQUIRES(affinity_);
   void fire_due_timers() CLASH_REQUIRES(affinity_);
-  [[nodiscard]] int next_timeout_ms() const CLASH_REQUIRES(affinity_);
+  /// Milliseconds until the next live timer (cancelled timers at the
+  /// head of the queue are discarded first, so they cost no wake-up).
+  [[nodiscard]] int next_timeout_ms() CLASH_REQUIRES(affinity_);
   void wake();
 
   common::AffinityToken affinity_;
 
   int epoll_fd_ = -1;  // immutable after construction
   int wake_fd_ = -1;   // eventfd; immutable after construction
-  std::map<int, FdHandler> handlers_ CLASH_GUARDED_BY(affinity_);
+  /// Held by shared_ptr so dispatch pins a handler with a refcount
+  /// bump instead of copying the std::function (a heap allocation for
+  /// any non-trivially-copyable capture) — and a handler that removes
+  /// itself still finishes running on the pinned copy.
+  std::map<int, std::shared_ptr<FdHandler>> handlers_
+      CLASH_GUARDED_BY(affinity_);
 
   std::priority_queue<Timer, std::vector<Timer>, std::greater<>> timers_
       CLASH_GUARDED_BY(affinity_);

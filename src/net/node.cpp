@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/logging.hpp"
+#include "wire/buffer_pool.hpp"
 #include "wire/codec.hpp"
 
 namespace clash::net {
@@ -46,7 +47,17 @@ class ClashNode::Env final : public ServerEnv {
     auto w = wire::begin_frame(
         wire::Envelope{wire::FrameKind::kOneway, 0, node_.config_.id});
     wire::encode_message(w, msg);
-    node_.send_to_peer(to, wire::finish_frame(std::move(w)));
+    auto frame = wire::finish_frame(std::move(w));
+    // Delayed ack: a positive ReplAck only feeds the owner's commit
+    // tracking, so it waits for the next frame to the same peer (or
+    // kAckHoldBound) instead of costing a writev and a wake-up of its
+    // own. Nacks ask for repair and always go at once.
+    if (const auto* ack = std::get_if<ReplAck>(&msg);
+        ack != nullptr && ack->ok && to != node_.config_.id) {
+      node_.hold_ack(to, *ack, std::move(frame));
+      return;
+    }
+    node_.send_to_peer(to, std::move(frame));
   }
 
   [[nodiscard]] SimTime now() const override {
@@ -173,6 +184,7 @@ ClashNode::ClashNode(NodeConfig config)
     membership_->set_census(&census_);
   }
   epoch_ = std::chrono::steady_clock::now();
+  ack_hold_us_ = hub_.registry.histogram("clash_repl_ack_hold_usec");
   loop_->set_obs(hub_.registry.histogram("clash_loop_tick_usec").raw(),
                  &hub_.tracer, config_.id.value);
   // Flight-recorder wiring: tick-budget overruns land in the ring on
@@ -290,6 +302,13 @@ void ClashNode::stop() {
   on_loop_.assert_held();
   loop_->assert_on_loop();
   peers_.clear();
+  // Held acks die with their connections, as on a crash; the timer
+  // goes too, so a restarted node arms a fresh one on its first hold.
+  held_acks_.clear();
+  if (ack_hold_timer_ != 0) {
+    loop_->cancel_timer(ack_hold_timer_);
+    ack_hold_timer_ = 0;
+  }
   connecting_.clear();
   for (const auto& [_, token] : connect_ops_) hub_.inflight.end(token);
   connect_ops_.clear();
@@ -430,6 +449,7 @@ void ClashNode::on_member_dead(ServerId id) {
                      id.value);
   ring_->remove_server(id);
   peers_.erase(id);
+  drop_held_acks(id);
   drop_pending_connect(id, "member died");
   // Automatic failover: any group the dead owner replicated here that
   // the shrunken ring now maps to this node gets promoted. Peers do the
@@ -904,7 +924,75 @@ void ClashNode::drop_pending_connect(ServerId to, const char* reason) {
   }
 }
 
+void ClashNode::hold_ack(ServerId to, const ReplAck& ack,
+                         std::vector<std::uint8_t>&& frame) {
+  auto& held = held_acks_[to];
+  for (HeldAck& h : held) {
+    if (h.group == ack.group && h.epoch == ack.head.epoch) {
+      // Cumulative within an epoch: the newer head subsumes the held
+      // one. The slot keeps its hold start — the entries the older ack
+      // covered have been waiting since then.
+      wire::BufferPool::local().release(std::move(h.frame));
+      h.frame = std::move(frame);
+      return;
+    }
+  }
+  // A different epoch sits beside the older one: the owner drains its
+  // older-epoch commits only with an ack of that epoch.
+  held.push_back(HeldAck{ack.group, ack.head.epoch, node_now_us(),
+                         std::move(frame)});
+  if (ack_hold_timer_ == 0) {
+    loop_->assert_on_loop();
+    ack_hold_timer_ = loop_->call_after(kAckHoldBound, [this] {
+      on_loop_.assert_held();
+      ack_hold_timer_ = 0;
+      // Releasing empties vectors but never adds or erases map nodes.
+      for (const auto& [peer, _] : held_acks_) release_held_acks(peer);
+    });
+  }
+}
+
+void ClashNode::release_held_acks(ServerId to) {
+  const auto it = held_acks_.find(to);
+  if (it == held_acks_.end() || it->second.empty()) return;
+  const std::int64_t now = node_now_us();
+  for (HeldAck& h : it->second) {
+    ack_hold_us_.record_signed(now - h.held_since_us);
+    transmit(to, std::move(h.frame));
+  }
+  it->second.clear();  // keeps its capacity for the next burst
+  disarm_ack_timer_if_idle();
+}
+
+void ClashNode::drop_held_acks(ServerId to) {
+  const auto it = held_acks_.find(to);
+  if (it == held_acks_.end()) return;
+  for (HeldAck& h : it->second) {
+    wire::BufferPool::local().release(std::move(h.frame));
+  }
+  held_acks_.erase(it);
+  disarm_ack_timer_if_idle();
+}
+
+void ClashNode::disarm_ack_timer_if_idle() {
+  if (ack_hold_timer_ == 0) return;
+  for (const auto& [_, held] : held_acks_) {
+    if (!held.empty()) return;
+  }
+  loop_->assert_on_loop();
+  loop_->cancel_timer(ack_hold_timer_);
+  ack_hold_timer_ = 0;
+}
+
 void ClashNode::send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame) {
+  // Held acks to `to` go first, onto the same connection, so they ride
+  // this frame's writev and stay ahead of it (a nack after a held
+  // positive ack of the same group reaches the owner second).
+  release_held_acks(to);
+  transmit(to, std::move(frame));
+}
+
+void ClashNode::transmit(ServerId to, std::vector<std::uint8_t>&& frame) {
   if (to == config_.id) {
     // Loopback without a socket round trip (skip the length prefix).
     const auto decoded = wire::decode_frame(

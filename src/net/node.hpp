@@ -219,6 +219,18 @@ class ClashNode {
   /// dropped (SWIM retransmits, requests time out and retry).
   static constexpr std::size_t kMaxQueuedPerConnect = 128;
 
+  /// An encoded positive ReplAck waiting for a ride to its owner.
+  struct HeldAck {
+    KeyGroup group;
+    std::uint64_t epoch = 0;
+    std::int64_t held_since_us = 0;  // node timeline (node_now_us)
+    std::vector<std::uint8_t> frame;
+  };
+  /// Longest a positive ack waits for another frame to the same peer
+  /// before a loop timer sends it alone (fires at the loop's
+  /// millisecond timer resolution).
+  static constexpr std::chrono::microseconds kAckHoldBound{1000};
+
   /// One in-flight stats-endpoint request: accumulated request bytes,
   /// then the rendered response draining through partial writes.
   struct StatsClient {
@@ -240,8 +252,22 @@ class ClashNode {
                     std::span<const std::uint8_t> frame)
       CLASH_REQUIRES(on_loop_);
   /// Takes an owned, finished wire frame (wire::finish_frame output).
+  /// Releases the acks held for `to` first, then transmits.
   void send_to_peer(ServerId to, std::vector<std::uint8_t>&& frame)
       CLASH_REQUIRES(on_loop_);
+  /// Put a frame on the wire to `to` (loopback, live connection, or
+  /// pending connect), bypassing the ack hold.
+  void transmit(ServerId to, std::vector<std::uint8_t>&& frame)
+      CLASH_REQUIRES(on_loop_);
+  /// Hold an encoded positive ReplAck for `to` (see held_acks_).
+  void hold_ack(ServerId to, const ReplAck& ack,
+                std::vector<std::uint8_t>&& frame) CLASH_REQUIRES(on_loop_);
+  /// Send every ack held for `to`, oldest first.
+  void release_held_acks(ServerId to) CLASH_REQUIRES(on_loop_);
+  /// Discard the acks held for a dead peer.
+  void drop_held_acks(ServerId to) CLASH_REQUIRES(on_loop_);
+  /// Cancel the hold timer once no peer has an ack held.
+  void disarm_ack_timer_if_idle() CLASH_REQUIRES(on_loop_);
   void begin_connect(ServerId to, std::vector<std::uint8_t>&& frame)
       CLASH_REQUIRES(on_loop_);
   void finish_connect(ServerId to, std::uint32_t events)
@@ -317,6 +343,20 @@ class ClashNode {
       CLASH_GUARDED_BY(on_loop_);
   std::vector<std::shared_ptr<Connection>> inbound_
       CLASH_GUARDED_BY(on_loop_);
+  /// Delayed positive replica acks, per peer, in hold order. A held ack
+  /// is replaced by a newer one of the same group and epoch (acks are
+  /// cumulative per epoch). Released ahead of the next frame to that
+  /// peer, or by ack_hold_timer_ after kAckHoldBound; nacks are never
+  /// held. A transport policy: the simulator delivers synchronously
+  /// and holds nothing.
+  std::map<ServerId, std::vector<HeldAck>> held_acks_
+      CLASH_GUARDED_BY(on_loop_);
+  /// Armed exactly while some ack is held; 0 = disarmed.
+  std::uint64_t ack_hold_timer_ CLASH_GUARDED_BY(on_loop_) = 0;
+  /// Replica side: how long each released ack was held (from the hold
+  /// of the first ack its slot subsumed). The owner's
+  /// clash_repl_commit_usec includes this wait.
+  obs::HistogramHandle ack_hold_us_;
   std::thread thread_;
   std::atomic<bool> running_{false};
   std::chrono::steady_clock::time_point epoch_;  // set once in ctor

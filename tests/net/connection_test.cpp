@@ -2,7 +2,8 @@
 // pair: reassembly of fragmented frames (split at every possible read
 // boundary, including inside the length header), batching, writev
 // coalescing, send-side oversize rejection, slow-reader backpressure
-// with EPOLLOUT re-arming, and close notification.
+// with EPOLLOUT re-arming, and close notification (including an EOF
+// that arrives together with the last frame).
 #include "net/connection.hpp"
 
 #include <gtest/gtest.h>
@@ -104,6 +105,20 @@ TEST_F(ConnFixture, PeerShutdownNotifies) {
   raw_peer = -1;
   pump();
   EXPECT_TRUE(closed);
+}
+
+TEST_F(ConnFixture, FrameThenShutdownDeliversFrameThenCloses) {
+  // The frame and the EOF are both pending when the loop first looks:
+  // the short read that takes the frame stops there, and the EOF must
+  // still close the connection on the next round (level-triggered).
+  const auto bytes = frame_bytes("last words");
+  send_raw(bytes.data(), bytes.size());
+  ASSERT_EQ(::shutdown(raw_peer, SHUT_WR), 0);
+  pump();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(std::string(frames[0].begin(), frames[0].end()), "last words");
+  EXPECT_TRUE(closed);
+  EXPECT_TRUE(conn->closed());
 }
 
 TEST_F(ConnFixture, SendFrameRoundTrip) {

@@ -4,6 +4,7 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 
+#include <string>
 #include <thread>
 
 namespace clash::net {
@@ -104,6 +105,36 @@ TEST(EventLoop, FdReadiness) {
   ::close(fds[0]);
   ::close(fds[1]);
   EXPECT_EQ(received, "ping");
+}
+
+TEST(EventLoop, HandlerMayRemoveItselfAndAnotherFdOfTheSameBatch) {
+  EventLoop loop;
+  int a[2];
+  int b[2];
+  ASSERT_EQ(::pipe(a), 0);
+  ASSERT_EQ(::pipe(b), 0);
+  // Both fds are readable before the loop starts, so one epoll_wait
+  // reports them together; whichever handler runs first unregisters
+  // both, and the other must not run (its slot is gone, not dangling).
+  ASSERT_EQ(::write(a[1], "x", 1), 1);
+  ASSERT_EQ(::write(b[1], "y", 1), 1);
+  int calls = 0;
+  std::string witness = "captured state outlives the removal";
+  CLASH_ASSERT_ON_LOOP(loop);
+  const auto handler = [&, witness](std::uint32_t) {
+    CLASH_ASSERT_ON_LOOP(loop);
+    ++calls;
+    loop.remove_fd(a[0]);
+    loop.remove_fd(b[0]);
+    // The running handler's own captures are still alive here.
+    EXPECT_EQ(witness, "captured state outlives the removal");
+  };
+  loop.add_fd(a[0], EPOLLIN, handler);
+  loop.add_fd(b[0], EPOLLIN, handler);
+  loop.call_after(std::chrono::milliseconds(20), [&] { loop.stop(); });
+  loop.run();
+  EXPECT_EQ(calls, 1);
+  for (const int fd : {a[0], a[1], b[0], b[1]}) ::close(fd);
 }
 
 TEST(EventLoop, TimerCanRescheduleItself) {
